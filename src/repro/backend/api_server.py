@@ -208,21 +208,6 @@ class ApiServerProcess:
         self.requests_handled = 0
         self.notifications_pushed = 0
         bus.subscribe(str(address), self.deliver_notification)
-        # Request dispatch table, built once (handle() runs per event).
-        self._dispatch = {
-            ApiOperation.UPLOAD: self._handle_upload,
-            ApiOperation.DOWNLOAD: self._handle_download,
-            ApiOperation.MAKE: self._handle_make,
-            ApiOperation.UNLINK: self._handle_unlink,
-            ApiOperation.MOVE: self._handle_move,
-            ApiOperation.CREATE_UDF: self._handle_create_udf,
-            ApiOperation.DELETE_VOLUME: self._handle_delete_volume,
-            ApiOperation.GET_DELTA: self._handle_get_delta,
-            ApiOperation.LIST_VOLUMES: self._handle_list_volumes,
-            ApiOperation.LIST_SHARES: self._handle_list_shares,
-            ApiOperation.QUERY_SET_CAPS: self._handle_query_set_caps,
-            ApiOperation.RESCAN_FROM_SCRATCH: self._handle_rescan,
-        }
 
     # ------------------------------------------------------------ properties
     @property
@@ -671,12 +656,12 @@ class ApiServerProcess:
         response = ApiResponse(operation=operation)
         rpc_before = self._rpc.calls_executed
 
-        handler = self._dispatch.get(operation)
+        handler = self._HANDLERS.get(operation)
         if handler is None:
             response.ok = False
             response.error = f"unsupported operation {operation.value}"
         else:
-            handler(request, context, shard, response)
+            handler(self, request, context, shard, response)
 
         response.rpc_count = self._rpc.calls_executed - rpc_before
         if operation in self._MUTATING_OPERATIONS and response.ok:
@@ -885,3 +870,22 @@ class ApiServerProcess:
         nodes = self._rpc.execute(RpcName.GET_FROM_SCRATCH, context,
                                   shard.get_from_scratch, request.user_id)
         response.details["nodes"] = len(nodes)
+
+    # Request dispatch table of plain functions, shared by every process
+    # (a per-instance table of bound methods would make each process refer
+    # to itself, and keep its whole back-end state alive until a cyclic
+    # collection).
+    _HANDLERS = {
+        ApiOperation.UPLOAD: _handle_upload,
+        ApiOperation.DOWNLOAD: _handle_download,
+        ApiOperation.MAKE: _handle_make,
+        ApiOperation.UNLINK: _handle_unlink,
+        ApiOperation.MOVE: _handle_move,
+        ApiOperation.CREATE_UDF: _handle_create_udf,
+        ApiOperation.DELETE_VOLUME: _handle_delete_volume,
+        ApiOperation.GET_DELTA: _handle_get_delta,
+        ApiOperation.LIST_VOLUMES: _handle_list_volumes,
+        ApiOperation.LIST_SHARES: _handle_list_shares,
+        ApiOperation.QUERY_SET_CAPS: _handle_query_set_caps,
+        ApiOperation.RESCAN_FROM_SCRATCH: _handle_rescan,
+    }

@@ -191,14 +191,16 @@ class ObjectStore:
         # exactly the order a full eviction sort would produce.
         self._evict_heap: list = []
         if tiering is not None:
+            # The metric closures capture the (never rebound) state dicts,
+            # not ``self``: a closure over ``self`` stored on ``self`` is a
+            # reference cycle that outlives the store.
+            objects, last_access = self._objects, self._last_access
+            access_count, admit_seq = self._access_count, self._admit_seq
             self._eviction_key = {
-                "lru": lambda key: (self._last_access[key],
-                                    self._admit_seq[key]),
-                "lfu": lambda key: (self._access_count[key],
-                                    self._last_access[key],
-                                    self._admit_seq[key]),
-                "size": lambda key: (-self._objects[key],
-                                     self._admit_seq[key]),
+                "lru": lambda key: (last_access[key], admit_seq[key]),
+                "lfu": lambda key: (access_count[key], last_access[key],
+                                    admit_seq[key]),
+                "size": lambda key: (-objects[key], admit_seq[key]),
             }[tiering.eviction]
             self._track_eviction = tiering.hot_capacity_bytes is not None
 

@@ -11,10 +11,17 @@ bus is bypassed and the notification is delivered immediately.
 
 :class:`NotificationBus` reproduces that fan-out and keeps counters so tests
 can verify the short-circuit behaviour.
+
+The bus holds a subscribed bound method weakly: an API process holds the
+bus it publishes to, and a strong reference back would make every process
+part of a reference cycle, keeping its whole back-end slice alive until a
+cyclic collection.  A subscriber that has been freed is skipped.
 """
 
 from __future__ import annotations
 
+import inspect
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -45,7 +52,8 @@ Subscriber = Callable[[Notification], int]
 @dataclass
 class _Subscription:
     name: str
-    callback: Subscriber
+    #: Returns the subscriber callback, or None once its object is freed.
+    resolve: Callable[[], Subscriber | None]
     delivered: int = 0
 
 
@@ -60,8 +68,10 @@ class NotificationBus:
     short_circuits: int = 0
 
     def subscribe(self, name: str, callback: Subscriber) -> None:
-        """Register an API server process on the bus."""
-        self._subscriptions.append(_Subscription(name=name, callback=callback))
+        """Register an API server process on the bus (bound methods weakly)."""
+        resolve = (weakref.WeakMethod(callback) if inspect.ismethod(callback)
+                   else lambda: callback)
+        self._subscriptions.append(_Subscription(name=name, resolve=resolve))
 
     def subscribers(self) -> list[str]:
         """Names of the registered subscribers."""
@@ -84,8 +94,11 @@ class NotificationBus:
         for subscription in self._subscriptions:
             if exclude is not None and subscription.name == exclude:
                 continue
+            callback = subscription.resolve()
+            if callback is None:
+                continue
             self.deliveries += 1
-            pushed = subscription.callback(notification)
+            pushed = callback(notification)
             subscription.delivered += 1
             total_pushes += pushed
         self.pushes += total_pushes

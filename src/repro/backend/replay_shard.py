@@ -83,7 +83,7 @@ from repro.trace.records import RpcName
 from repro.util import telemetry
 from repro.util.gctools import cyclic_gc_paused
 from repro.util.rngpool import RngPool
-from repro.workload.events import SessionScript
+from repro.workload.events import SessionScript, event_blocks_nbytes
 
 __all__ = [
     "PlannedShardWorkload",
@@ -446,13 +446,11 @@ class ReplayShard:
         script_col: list[int] = []
         event_col: list[int] = []
         rows_by_script: list[list[tuple]] = []
-        event_block_bytes = 0
         for index, script in enumerate(scripts):
             block = script.block
             if block is not None:
                 times = block.times
                 rows = block.rows()
-                event_block_bytes += block.nbytes
             else:
                 events = script.events
                 times = [event.time for event in events]
@@ -480,7 +478,9 @@ class ReplayShard:
         order = np.lexsort((np.asarray(kind_col, dtype=np.int8),
                             np.asarray(ts_col, dtype=np.float64))).tolist()
         return (order, ts_col, kind_col, script_col, event_col,
-                rows_by_script, event_block_bytes)
+                rows_by_script,
+                event_blocks_nbytes(script.block for script in scripts
+                                    if script.block is not None))
 
     def _dispatch(self, scripts: list[SessionScript], order: list[int],
                   ts_col: list[float], kind_col: list[int],
@@ -739,16 +739,18 @@ def run_shards_supervised(config,
         # forked path even at one job; without fork it degrades to the
         # in-process driver (retry/quarantine/resume still apply).
         use_fork = fork_available() and (jobs > 1 or chaos is not None)
-        # One GC pause across the whole run, exactly like the sequential
-        # baseline: in-process shards would otherwise re-enable the cyclic
-        # collector between shards and pay a collection per boundary (forked
-        # workers inherit the pause, which the per-shard task already holds).
-        with cyclic_gc_paused():
-            outcome_map, report = supervise_shards(
-                _run_shard_task, range(n_shards), jobs, policy=policy,
-                timeouts=timeouts, chaos=chaos, checkpoint=checkpoint,
-                resume=resume, use_fork=use_fork, shutdown=shutdown,
-                events=events, progress=progress, planned_ops=planned)
+        # The GC pause covers each shard task only.  Supervision around it
+        # loads and spills checkpoints, and NumPy's npz header parser
+        # (``ast.literal_eval``) and the indented JSON manifest writer make
+        # reference cycles: left to the running collector they are
+        # reclaimed, inside a pause they would be frozen for good.  The
+        # collection at a shard boundary is cheap, because the task froze
+        # everything that was live when it ended.
+        outcome_map, report = supervise_shards(
+            _run_shard_task, range(n_shards), jobs, policy=policy,
+            timeouts=timeouts, chaos=chaos, checkpoint=checkpoint,
+            resume=resume, use_fork=use_fork, shutdown=shutdown,
+            events=events, progress=progress, planned_ops=planned)
         report.jobs = jobs
         outcomes = [outcome_map[shard_id] for shard_id in sorted(outcome_map)]
         return outcomes, jobs, report

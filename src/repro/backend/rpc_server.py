@@ -84,7 +84,14 @@ class RpcWorker:
             else None
 
     def _inflate(self, timestamp: float, service_time: float) -> float:
-        """Apply this worker's degradation window, if one covers the call."""
+        """Apply this worker's degradation window, if one covers the call.
+
+        Called only once the operation has returned: an RPC that raises
+        leaves no trace row, so it must not count as degraded either (the
+        offline fault simulator counts degraded rows).  The service-time
+        draw itself happens before the operation, so the pooled factor
+        stream is the same either way.
+        """
         for start, end, inflation in self._degraded:
             if start <= timestamp < end:
                 extra = service_time * (inflation - 1.0)
@@ -141,9 +148,9 @@ class RpcWorker:
         model._factor_index = i + 1
         service_time = (model._base_by_rpc[rpc][shard_id % model._n_shards]
                         * factors[i])
+        result = operation(*args)
         if self._degraded is not None:
             service_time = self._inflate(context.timestamp, service_time)
-        result = operation(*args)
         self.calls_executed += 1
         self.busy_time += service_time
         # Positional RpcRecord field order (columnar fast path).
@@ -175,9 +182,9 @@ class RpcWorker:
         model._factor_index = i + 1
         service_time = (model._base_by_rpc[rpc][shard_id % model._n_shards]
                         * factors[i])
+        result = operation(arg)
         if self._degraded is not None:
             service_time = self._inflate(context.timestamp, service_time)
-        result = operation(arg)
         self.calls_executed += 1
         self.busy_time += service_time
         self._rpc_row((
@@ -205,10 +212,10 @@ class RpcWorker:
         if shard_id is None:
             shard_id = self._store.shard_id_of(context.user_id)
         times = self._latency.sample_block(rpc, shard_id, n)
+        results = [operation(*args) for args in args_list]
         if self._degraded is not None:
             times = [self._inflate(context.timestamp, service_time)
                      for service_time in times]
-        results = [operation(*args) for args in args_list]
         self.calls_executed += n
         self.busy_time += sum(times)
         rpc_row = self._rpc_row

@@ -22,7 +22,7 @@ from repro.trace.dataset import (
     TraceDataset,
 )
 from repro.trace.records import ApiOperation, NodeKind, VolumeType
-from repro.util.stats import EmpiricalCDF, pearson_correlation
+from repro.util.stats import EmpiricalCDF, distinct_pairs, pearson_correlation
 
 __all__ = [
     "VolumeContents",
@@ -159,9 +159,8 @@ def volume_type_distribution(dataset: TraceDataset,
     def distinct_per_user(mask: np.ndarray) -> dict[int, int]:
         if not mask.any():
             return {}
-        pairs = np.unique(np.stack([users[mask], volume_ids[mask]], axis=1),
-                          axis=0)
-        distinct_users, counts = np.unique(pairs[:, 0], return_counts=True)
+        pair_users, _ = distinct_pairs(users[mask], volume_ids[mask])
+        distinct_users, counts = np.unique(pair_users, return_counts=True)
         return {int(u): int(c)
                 for u, c in zip(distinct_users.tolist(), counts.tolist())}
 

@@ -7,6 +7,16 @@ collector contributes nothing but unpredictable multi-millisecond pauses
 (generation-0 collections trigger every ~700 net allocations), which were
 the dominant source of run-to-run timing jitter.  :func:`cyclic_gc_paused`
 switches the collector off for the duration of such a phase.
+
+The replay object graph is cycle-free by design: an API process holds its
+request handlers as a class-level table of plain functions, the
+notification bus holds its subscribers' bound methods weakly, and no
+closure stored on an object captures that object.  A replay shard's whole
+back-end state is therefore freed by reference counting when the shard
+returns.  ``tests/backend/test_memory.py`` pins that contract: after a
+replay at one job, at two supervised jobs and through the interactive
+cluster path, a full collection reclaims (almost) nothing, and repeated
+replays in one interpreter do not grow the tracked-object count.
 """
 
 from __future__ import annotations

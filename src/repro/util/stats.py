@@ -1,4 +1,5 @@
-"""Statistical primitives: empirical CDFs, autocorrelation, boxplots.
+"""Statistical primitives: empirical CDFs, autocorrelation, boxplots,
+distinct integer pairs.
 
 These are the building blocks of most figures in the paper: CDFs of file
 sizes, session lengths and RPC service times; the autocorrelation function of
@@ -18,6 +19,7 @@ __all__ = [
     "autocorrelation",
     "boxplot_summary",
     "BoxplotSummary",
+    "distinct_pairs",
     "pearson_correlation",
     "tail_fraction_beyond",
 ]
@@ -202,3 +204,30 @@ def tail_fraction_beyond(samples: Iterable[float], multiple_of_median: float) ->
     if med == 0.0:
         return float(np.mean(values > 0.0))
     return float(np.mean(values > multiple_of_median * med))
+
+
+def distinct_pairs(first, second) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(first, second)`` integer pairs, in lexicographic order.
+
+    Equal to the columns of ``np.unique(np.stack([first, second], axis=1),
+    axis=0)`` without its structured-row sort: each pair is packed into one
+    int64 key ``(first - min) * span + (second - min)`` and deduplicated
+    with a flat ``np.unique``.  When the packed key would overflow int64 the
+    pairs are ordered with ``np.lexsort`` and cut at run boundaries instead.
+    """
+    first = np.asarray(first, dtype=np.int64)
+    second = np.asarray(second, dtype=np.int64)
+    if first.size == 0:
+        return first, second
+    first_min, second_min = int(first.min()), int(second.min())
+    span = int(second.max()) - second_min + 1
+    if (int(first.max()) - first_min + 1) * span <= np.iinfo(np.int64).max:
+        packed = np.unique((first - first_min) * span + (second - second_min))
+        return packed // span + first_min, packed % span + second_min
+    order = np.lexsort((second, first))
+    first, second = first[order], second[order]
+    keep = np.empty(first.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(first[1:], first[:-1], out=keep[1:])
+    keep[1:] |= second[1:] != second[:-1]
+    return first[keep], second[keep]

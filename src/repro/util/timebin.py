@@ -12,6 +12,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro.util.stats import distinct_pairs
+
 __all__ = ["TimeBinner", "bin_count_series", "bin_sum_series", "bin_unique_series"]
 
 
@@ -119,8 +121,9 @@ def bin_unique_series(binner: TimeBinner,
     Used for the online/active users-per-hour series of Fig. 6, where each
     user should be counted once per hour regardless of how many requests the
     user issued in that hour.  Accepts a pre-split ``(timestamps, keys)``
-    array pair like :func:`bin_sum_series`; integer keys are deduplicated
-    per bin with a vectorised unique over ``(bin, key)`` pairs.
+    array pair like :func:`bin_sum_series`; numeric keys are deduplicated
+    per bin with :func:`~repro.util.stats.distinct_pairs` over ``(bin,
+    key)`` pairs.
     """
     if _is_presplit(events):
         ts = np.asarray(events[0], dtype=float)
@@ -136,8 +139,7 @@ def bin_unique_series(binner: TimeBinner,
     if keys.size == 0:
         return np.zeros(binner.n_bins, dtype=float)
     if np.issubdtype(keys.dtype, np.number):
-        distinct = np.unique(np.stack([indices, keys.astype(np.int64)], axis=1), axis=0)
-        bins = distinct[:, 0]
+        bins, _ = distinct_pairs(indices, keys.astype(np.int64))
     else:  # object keys: fall back to per-bin sets
         seen: dict[int, set] = {}
         for idx, key in zip(indices.tolist(), keys.tolist()):

@@ -19,11 +19,12 @@ unchanged.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator
 
 from repro.trace.records import ApiOperation, NodeKind, VolumeType
 
-__all__ = ["ClientEvent", "EventBlock", "SessionScript"]
+__all__ = ["ClientEvent", "EventBlock", "SessionScript", "event_blocks_nbytes"]
 
 
 class ClientEvent:
@@ -89,6 +90,11 @@ EVENT_COLUMNS = ("times", "operations", "node_ids", "volume_ids",
                  "volume_types", "node_kinds", "size_bytes",
                  "content_hashes", "extensions", "is_updates")
 
+# Packed width of each column (f8 time, u2 operation, i8 ids and sizes, u1
+# enums and flags); 0 marks the string columns, counted as raw bytes.
+_COLUMN_WIDTHS = (8, 2, 8, 8, 1, 1, 8, 0, 0, 1)
+_COLUMNS_OF = operator.attrgetter(*EVENT_COLUMNS)
+
 
 class EventBlock:
     """Struct-of-arrays storage for one script's events.
@@ -139,30 +145,6 @@ class EventBlock:
             out.append(value if type(value) is list else [value] * n)
         return tuple(out)
 
-    @property
-    def nbytes(self) -> int:
-        """Approximate payload size of the block's typed columns.
-
-        Counts each column at its packed width (f8 time, u2 operation, i8
-        ids and sizes, u1 enums and flags, raw string bytes), scalars at a
-        single element — the footprint the block would have as one typed
-        array per field, which is what the ``event_block_bytes`` telemetry
-        tracks.
-        """
-        n = len(self.times)
-        widths = (8, 2, 8, 8, 1, 1, 8, 0, 0, 1)
-        total = 0
-        for name, width in zip(EVENT_COLUMNS, widths):
-            value = getattr(self, name)
-            if width == 0:  # string columns: raw bytes
-                if type(value) is list:
-                    total += sum(len(s) for s in value)
-                else:
-                    total += len(value)
-            else:
-                total += width * (n if type(value) is list else 1)
-        return total
-
     def rows(self) -> "list[tuple]":
         """Dispatch rows: one tuple per event, transposed at C speed.
 
@@ -209,6 +191,30 @@ class EventBlock:
                 for (t, op, node_id, volume_id, volume_type, node_kind,
                      size, content_hash, extension, is_update)
                 in zip(*self.columns())]
+
+
+def event_blocks_nbytes(blocks) -> int:
+    """Approximate typed-column payload bytes of ``blocks``, summed.
+
+    Counts each column at its packed width, scalars at a single element,
+    and string columns at their raw length — the footprint the blocks would
+    have as one typed array per field, which is what the
+    ``event_block_bytes`` telemetry tracks.  A replay shard calls this once
+    for all its blocks: the string columns are gathered and measured in one
+    ``join`` instead of a ``len`` per string.
+    """
+    total = 0
+    strings: list[str] = []
+    for values in map(_COLUMNS_OF, blocks):
+        n = len(values[0])
+        for value, width in zip(values, _COLUMN_WIDTHS):
+            if width:
+                total += width * n if type(value) is list else width
+            elif type(value) is list:
+                strings += value
+            else:
+                strings.append(value)
+    return total + len("".join(strings))
 
 
 class SessionScript:

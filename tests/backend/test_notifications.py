@@ -46,3 +46,18 @@ class TestNotificationBus:
         notification = _notification(user_ids=(3, 4))
         assert notification.affects(3)
         assert not notification.affects(5)
+
+    def test_bound_method_subscriber_is_held_weakly(self):
+        class Process:
+            def deliver(self, notification):
+                return 1
+
+        bus = NotificationBus()
+        process = Process()
+        bus.subscribe("api0/0", process.deliver)
+        bus.subscribe("api1/0", lambda n: 2)
+        assert bus.publish(_notification()) == 3
+        del process  # freed by reference counting: the bus does not hold it
+        assert bus.publish(_notification()) == 2
+        assert bus.deliveries == 3
+        assert bus.delivery_counts() == {"api0/0": 1, "api1/0": 2}

@@ -18,6 +18,7 @@ from repro.faults.mitigation import MitigationPolicy, default_mitigations
 from repro.faults.simulator import FaultTrace, simulate_mitigation
 from repro.faults.spec import (
     AuthOutage,
+    DegradedProcess,
     FaultPlan,
     LossyLink,
     ReadOnlyShard,
@@ -133,6 +134,35 @@ class TestOfflineMatchesLive:
                 assert offline[key] == pytest.approx(value, rel=1e-9), key
             else:
                 assert offline[key] == value, key
+
+    def test_degraded_window_over_auth_outage(self, scripts):
+        """Every worker is degraded across the auth outage, so denied
+        GET_USER_ID_FROM_TOKEN calls run on degraded workers.  They raise
+        and leave no RPC row, so the live replay must not count them as
+        degraded RPCs either: live equals offline."""
+        start = _workload_config().start_time
+        q = DAY / 4.0
+        n_processes = len(ClusterConfig().process_addresses())
+        plan = FaultPlan(faults=(
+            AuthOutage(start + 3.0 * q, start + 3.3 * q),
+            *(DegradedProcess(start + 2.0 * q, start + 4.0 * q,
+                              process_index=index, inflation=3.0)
+              for index in range(n_processes)),
+        ), seed=SEED)
+        cluster, dataset = live_replay(scripts, plan)
+        trace = FaultTrace.from_dataset(
+            dataset,
+            processes_per_machine=cluster.config.processes_per_machine,
+            machine_names=cluster.config.machine_names())
+        live = cluster.fault_accounting.as_dict()
+        offline = simulate_mitigation(
+            trace, cluster.fault_schedule,
+            MitigationPolicy("do-nothing", "none")).accounting.as_dict()
+        assert live["auth_outage_failures"] > 0
+        assert live["degraded_rpcs"] > 0
+        assert offline["degraded_rpcs"] == live["degraded_rpcs"]
+        assert offline["degraded_extra_seconds"] == pytest.approx(
+            live["degraded_extra_seconds"], rel=1e-9)
 
     def test_degraded_plan_requires_worker_mapping(self, degraded_baseline):
         cluster, dataset, _ = degraded_baseline

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.util.stats import distinct_pairs
 from repro.util.timebin import (
     TimeBinner,
     bin_count_series,
@@ -63,3 +66,55 @@ class TestSeriesBuilders:
         events = [(1.0, "a"), (2.0, "a"), (3.0, "b"), (12.0, "a")]
         uniques = bin_unique_series(binner, events)
         assert list(uniques) == [2.0, 1.0]
+
+
+# Keys cover negatives and the int64 extremes, so both the packed-key path
+# and the lexsort fallback (packed key past int64) are exercised.
+_INT64 = np.iinfo(np.int64)
+_keys = st.one_of(st.integers(-5, 5),
+                  st.integers(int(_INT64.min), int(_INT64.max)))
+
+
+def _reference_pairs(first, second):
+    """The structured-row unique that distinct_pairs replaces."""
+    pairs = np.unique(np.stack([np.asarray(first, dtype=np.int64),
+                                np.asarray(second, dtype=np.int64)], axis=1),
+                      axis=0)
+    return pairs[:, 0], pairs[:, 1]
+
+
+class TestDistinctPairs:
+    @given(st.lists(st.tuples(_keys, _keys), max_size=60))
+    def test_matches_row_unique(self, pairs):
+        first = np.asarray([a for a, _ in pairs], dtype=np.int64)
+        second = np.asarray([b for _, b in pairs], dtype=np.int64)
+        got_first, got_second = distinct_pairs(first, second)
+        if not pairs:
+            assert got_first.size == got_second.size == 0
+            return
+        want_first, want_second = _reference_pairs(first, second)
+        np.testing.assert_array_equal(got_first, want_first)
+        np.testing.assert_array_equal(got_second, want_second)
+        assert got_first.dtype == got_second.dtype == np.int64
+
+    def test_overflowing_span_takes_the_lexsort_path(self):
+        first = np.array([0, 1, 1, 0], dtype=np.int64)
+        second = np.array([_INT64.max, _INT64.min, _INT64.min, _INT64.max],
+                          dtype=np.int64)
+        got_first, got_second = distinct_pairs(first, second)
+        assert got_first.tolist() == [0, 1]
+        assert got_second.tolist() == [_INT64.max, _INT64.min]
+
+    @given(st.lists(st.tuples(st.floats(-50.0, 150.0), _keys), max_size=60))
+    def test_unique_series_matches_row_unique(self, events):
+        binner = TimeBinner(start=0.0, end=100.0, width=10.0)
+        ts = np.asarray([t for t, _ in events], dtype=float)
+        keys = np.asarray([k for _, k in events], dtype=np.int64)
+        got = bin_unique_series(binner, (ts, keys))
+        in_range = (ts >= binner.start) & (ts < binner.end)
+        want = np.zeros(binner.n_bins)
+        if in_range.any():
+            bins = ((ts[in_range] - binner.start) // binner.width).astype(int)
+            pair_bins, _ = _reference_pairs(bins, keys[in_range])
+            want = np.bincount(pair_bins, minlength=binner.n_bins).astype(float)
+        np.testing.assert_array_equal(got, want)

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.trace.records import ApiOperation
-from repro.workload.events import ClientEvent, EventBlock, SessionScript
+from repro.workload.events import (
+    ClientEvent,
+    EventBlock,
+    SessionScript,
+    event_blocks_nbytes,
+)
 
 
 class TestClientEvent:
@@ -110,3 +115,19 @@ class TestEventBlock:
         assert script.storage_operation_count == 2  # GET_DELTA is maintenance
         assert script._events is None  # none of the above hydrated objects
         assert script.events[0].operation is ApiOperation.UPLOAD  # hydrates
+
+    def test_nbytes_counts_packed_widths_and_raw_strings(self):
+        listed = EventBlock.from_events(self._events())
+        scalar = EventBlock(times=[1.0, 2.0, 3.0],
+                            operations=ApiOperation.UPLOAD,
+                            content_hashes="abcd", extensions=".avi")
+        # 3 events x (8 + 2 + 8 + 8 + 1 + 1 + 8 + 1) list bytes, plus the
+        # strings "h1" "h1" "" and ".pdf" ".pdf" "".
+        listed_bytes = 3 * 37 + 4 + 8
+        # Only the times are a list; every other column counts once.
+        scalar_bytes = 3 * 8 + (2 + 8 + 8 + 1 + 1 + 8 + 1) + 4 + 4
+        assert event_blocks_nbytes([listed]) == listed_bytes
+        assert event_blocks_nbytes([scalar]) == scalar_bytes
+        assert event_blocks_nbytes([listed, scalar]) \
+            == listed_bytes + scalar_bytes
+        assert event_blocks_nbytes([]) == 0
